@@ -1,7 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src:.
 
-.PHONY: test equivalence bench bench-perf check service-smoke scale-smoke
+.PHONY: test equivalence bench bench-perf check service-smoke scale-smoke \
+	perfbench-check
 
 ## Tier-1 test suite (the gate every change must keep green).
 test:
@@ -30,6 +31,15 @@ scale-smoke:
 		benchmarks/bench_scale_1m.py::test_scale_100k_batch_sweep \
 		--benchmark-disable
 	$(PYTHON) -m repro populate --users 100000 --columnar --stats
+
+## The benchmark's correctness checks on a short run of each sweep
+## workload: perfbench/run.py exits non-zero when any iteration's
+## reports differ from the scalar loop's perfbench/golden.json.
+perfbench-check:
+	python3 perfbench/run.py --workload sweep --seed 1 --seconds 3 \
+		--trace 0
+	python3 perfbench/run.py --workload contested --seed 1 --seconds 3 \
+		--trace 0
 
 ## The gateway kill drill + 60s HTTP/in-process equivalence soak, both
 ## serving backends (what the CI service-smoke matrix runs).

@@ -120,6 +120,12 @@ METRICS: Dict[str, MetricSpec] = {
     "billing.budget_exhausted": MetricSpec(
         COUNTER, "Accounts whose budget crossed to zero (or below the "
                  "smallest billable amount) while being charged."),
+    # -- reporting ---------------------------------------------------------
+    "reporting.reports": MetricSpec(
+        COUNTER, "Advertiser performance reports built."),
+    "reporting.breakdown_users": MetricSpec(
+        COUNTER, "Reached users tallied into demographic breakdowns "
+                 "(reports below the breakdown threshold add none)."),
     # -- transparency provider --------------------------------------------
     "provider.treads_launched": MetricSpec(
         COUNTER, "Treads that passed review and went ACTIVE."),

@@ -1358,6 +1358,17 @@ class DeliveryEngine:
             return self._user_store.rows_to_ids(bits)
         return set(self._reach_by_ad.get(ad_id, ()))
 
+    def shown_rows(self, ad_id: str) -> Optional[np.ndarray]:
+        """User rows an ad was shown to, ascending — the compact-mode
+        reach as one bitset decode, no id strings. None when the engine
+        is not compact (it keeps user ids, not rows)."""
+        if not self._compact:
+            return None
+        bits = self._shown_bits.get(ad_id)
+        if bits is None:
+            return np.zeros(0, dtype=np.int64)
+        return bitset.to_indices(bits)
+
     def reach_count(self, ad_id: str) -> int:
         """Number of distinct users reached — O(1), no set copy (one
         popcount in compact mode)."""

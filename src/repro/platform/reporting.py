@@ -9,13 +9,24 @@ users carry each attribute — but the platform never names users, and
 demographic breakdowns are withheld below a minimum-reach threshold, so
 reports alone cannot de-anonymize an individual (benchmark E5 ablates the
 threshold to show what would leak without it).
+
+Breakdowns only ever need counts. On a compact delivery engine they come
+straight from the columns: the ad's shown bitset decodes to a row array,
+the age and gender columns are gathered at those rows, and one
+``np.bincount`` over ``age_bucket * genders + gender_code`` tallies every
+cell — no user id is formatted or parsed. Engines that keep full logs
+use the per-profile loop, which also serves as the test oracle for the
+column path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.obs.metrics import registry as obs_registry
 from repro.platform.ads import AdInventory
 from repro.platform.billing import BillingLedger
 from repro.platform.delivery import DeliveryEngine
@@ -74,6 +85,10 @@ class ReportingService:
         self._delivery = delivery
         self._users = users
         self.config = config or ReportingConfig()
+        reg = obs_registry()
+        self._obs_on = reg.enabled
+        self._obs_reports = reg.counter("reporting.reports")
+        self._obs_breakdown_users = reg.counter("reporting.breakdown_users")
 
     def _quantize_reach(self, true_reach: int) -> int:
         quantum = self.config.reach_quantum
@@ -92,11 +107,19 @@ class ReportingService:
         reach = self._quantize_reach(true_reach)
         demographics: Optional[Dict[str, int]] = None
         if true_reach >= self.config.breakdown_min_reach:
-            # Only materialize the user set when a breakdown is owed;
+            # Only decode the reached users when a breakdown is owed;
             # reach itself comes from the delivery engine's per-ad index.
-            demographics = self._demographic_breakdown(
-                self._delivery.unique_reach(ad_id)
-            )
+            rows = self._delivery.shown_rows(ad_id)
+            if rows is None:
+                demographics = self._demographic_breakdown(
+                    self._delivery.unique_reach(ad_id)
+                )
+            else:
+                demographics = self._column_breakdown(rows)
+            if self._obs_on:
+                self._obs_breakdown_users.inc(true_reach)
+        if self._obs_on:
+            self._obs_reports.inc()
         return AdPerformanceReport(
             ad_id=ad_id,
             impressions=self._ledger.impressions_for_ad(ad_id),
@@ -108,13 +131,29 @@ class ReportingService:
         )
 
     def _demographic_breakdown(self, user_ids) -> Dict[str, int]:
-        """Coarse age-bucket x gender counts, platform-style."""
+        """Coarse age-bucket x gender counts, platform-style, one
+        profile lookup per reached user (the full-log path)."""
         breakdown: Dict[str, int] = {}
         for user_id in user_ids:
             profile = self._users.get(user_id)
             bucket = f"{_age_bucket(profile.age)}|{profile.gender}"
             breakdown[bucket] = breakdown.get(bucket, 0) + 1
         return breakdown
+
+    def _column_breakdown(self, rows: np.ndarray) -> Dict[str, int]:
+        """The same counts as :meth:`_demographic_breakdown`, from the
+        columnar store's age/gender columns gathered at ``rows``."""
+        cols = self._users.columns
+        genders = cols.genders.values
+        width = len(genders)
+        cells = (_age_bucket_indices(cols.age[rows]) * width
+                 + cols.gender[rows])
+        counts = np.bincount(cells, minlength=len(AGE_BUCKETS) * width)
+        return {
+            f"{AGE_BUCKETS[cell // width]}|{genders[cell % width]}":
+                int(counts[cell])
+            for cell in np.flatnonzero(counts).tolist()
+        }
 
     def reports_for_account(self, account_id: str) -> List[AdPerformanceReport]:
         """Reports for every ad the account owns (the provider's view of a
@@ -125,10 +164,39 @@ class ReportingService:
         ]
 
 
-def _age_bucket(age: int) -> str:
-    """The standard reporting age buckets."""
-    edges = ((13, 17), (18, 24), (25, 34), (35, 44), (45, 54), (55, 64))
-    for low, high in edges:
+#: The standard reporting age buckets as inclusive ``(low, high)`` ages.
+#: An age inside no edge reports as the catch-all last bucket — ages
+#: below 13 included.
+AGE_EDGES: Tuple[Tuple[int, int], ...] = (
+    (13, 17), (18, 24), (25, 34), (35, 44), (45, 54), (55, 64))
+AGE_BUCKETS: Tuple[str, ...] = (
+    tuple(f"{low}-{high}" for low, high in AGE_EDGES) + ("65+",))
+
+
+def _age_bucket_index(age: int) -> int:
+    for index, (low, high) in enumerate(AGE_EDGES):
         if low <= age <= high:
-            return f"{low}-{high}"
-    return "65+"
+            return index
+    return len(AGE_EDGES)
+
+
+def _age_bucket(age: int) -> str:
+    """The standard reporting age bucket of one age."""
+    return AGE_BUCKETS[_age_bucket_index(age)]
+
+
+#: Vectorised :func:`_age_bucket_index`: one entry per age from one
+#: below the lowest edge to one above the highest. Every age past either
+#: end falls in the same bucket as that end, so clipping into the table
+#: preserves the mapping.
+_AGE_LUT_LOW = min(low for low, _ in AGE_EDGES) - 1
+_AGE_LUT_HIGH = max(high for _, high in AGE_EDGES) + 1
+_AGE_LUT = np.array([_age_bucket_index(age)
+                     for age in range(_AGE_LUT_LOW, _AGE_LUT_HIGH + 1)],
+                    dtype=np.intp)
+
+
+def _age_bucket_indices(ages: np.ndarray) -> np.ndarray:
+    """Bucket index (into :data:`AGE_BUCKETS`) of every age in ``ages``."""
+    clipped = np.clip(ages.astype(np.intp), _AGE_LUT_LOW, _AGE_LUT_HIGH)
+    return _AGE_LUT[clipped - _AGE_LUT_LOW]

@@ -17,6 +17,7 @@ catch.
 
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -24,26 +25,48 @@ from repro.core.provider import TransparencyProvider
 from repro.errors import StoreError
 from repro.platform.catalog import build_us_catalog
 from repro.platform.platform import AdPlatform, PlatformConfig
+from repro.platform.reporting import ReportingConfig
 from repro.platform.web import WebDirectory
 from repro.workloads.competition import zero_competition
 
 
+#: Genders of the varied-demographics world; the last is only ever set
+#: through the ``gender`` setter after registration.
+_GENDERS = ("female", "male", "unknown", "nonbinary")
+_LATE_GENDER = "agender"
+
+
 def _sweep_world(columnar: bool, users: int = 2000, compact: bool = False,
-                 sweep: bool = False):
+                 sweep: bool = False, demographics_seed=None,
+                 breakdown_min_reach: int = 100):
     """The scale-tier world: ``users`` users, 10 rotating partner
     attributes each, full partner sweep launched. ``sweep`` routes
     delivery through the vectorized batch sweep engine instead of the
-    scalar per-user loop."""
+    scalar per-user loop. Users are 30 and of gender ``"unknown"``
+    unless ``demographics_seed`` is given: then ages (including ones
+    below and above every report bucket) and genders are drawn from
+    that seed, and every seventh user's gender is reassigned after
+    registration."""
     platform = AdPlatform(
-        config=PlatformConfig(name="coleq", columnar_users=columnar,
-                              compact_delivery=compact),
+        config=PlatformConfig(
+            name="coleq", columnar_users=columnar,
+            compact_delivery=compact,
+            reporting=ReportingConfig(
+                breakdown_min_reach=breakdown_min_reach)),
         catalog=build_us_catalog(614, 507),
         competing_draw=zero_competition(),
     )
     provider = TransparencyProvider(platform, WebDirectory(), budget=5000.0)
     attrs = platform.catalog.partner_attributes()
+    rng = random.Random(demographics_seed)
     for i in range(users):
-        user = platform.register_user()
+        if demographics_seed is None:
+            user = platform.register_user()
+        else:
+            user = platform.register_user(
+                age=rng.randint(-1, 99), gender=rng.choice(_GENDERS))
+            if i % 7 == 3:
+                user.gender = _LATE_GENDER
         for k in range(10):
             user.set_attribute(attrs[(i * 10 + k) % len(attrs)])
         provider.optin.via_page_like(user.user_id)
@@ -81,6 +104,35 @@ class TestScaleSweepEquivalence:
             columnar_provider.account.account_id)
         assert legacy_invoice.total == columnar_invoice.total
         assert legacy_invoice.impressions == columnar_invoice.impressions
+
+    def test_varied_demographics_byte_identical_across_stores(self):
+        """The same pin with seeded ages and genders and a breakdown
+        threshold every Tread clears, so the legacy per-profile loop and
+        the compact engine's column bincount both tally many buckets."""
+        worlds = {
+            "legacy": _sweep_world(columnar=False, demographics_seed=7,
+                                   breakdown_min_reach=20),
+            "columnar": _sweep_world(columnar=True, demographics_seed=7,
+                                     breakdown_min_reach=20),
+            "compact": _sweep_world(columnar=True, compact=True,
+                                    demographics_seed=7,
+                                    breakdown_min_reach=20),
+            "compact-sweep": _sweep_world(columnar=True, compact=True,
+                                          sweep=True, demographics_seed=7,
+                                          breakdown_min_reach=20),
+        }
+        canonical = {
+            name: _canonical_reports(platform,
+                                     provider.account.account_id)
+            for name, (platform, provider) in worlds.items()
+        }
+        assert len(set(canonical.values())) == 1, (
+            f"reports differ between stores: {sorted(canonical)}")
+        reports = json.loads(canonical["legacy"])
+        assert all(r["demographics"] for r in reports)
+        buckets = {key for r in reports for key in r["demographics"]}
+        assert {"65+|agender", "13-17|nonbinary"} <= buckets
+        assert len(buckets) >= 20
 
     @pytest.mark.parametrize("compact", [False, True])
     def test_reports_byte_identical_scalar_vs_batch_sweep(self, compact):

@@ -1,10 +1,18 @@
 """Tests for advertiser-facing reporting and its privacy behaviour."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.platform.ads import AdCreative
 from repro.platform.platform import AdPlatform, PlatformConfig
-from repro.platform.reporting import ReportingConfig, _age_bucket
+from repro.platform.reporting import (
+    AGE_BUCKETS,
+    ReportingConfig,
+    _age_bucket,
+    _age_bucket_indices,
+)
 from repro.platform.catalog import build_us_catalog
 from repro.workloads.competition import zero_competition
 
@@ -106,3 +114,77 @@ class TestDemographicBreakdown:
         assert _age_bucket(13) == "13-17"
         assert _age_bucket(30) == "25-34"
         assert _age_bucket(70) == "65+"
+        assert _age_bucket(12) == "65+"  # below every edge: catch-all
+        ages = np.arange(-1, 131, dtype=np.int16)  # the age column dtype
+        vectorised = [AGE_BUCKETS[i] for i in _age_bucket_indices(ages)]
+        assert vectorised == [_age_bucket(int(age)) for age in ages]
+
+
+_GENDERS = ("female", "male", "unknown", "nonbinary")
+#: Setter targets, two of which no row carries at registration.
+_REASSIGNED_GENDERS = ("male", "agender", "late-gender")
+
+
+@st.composite
+def _compact_worlds(draw):
+    """A small compact columnar population, one ad's shown set, a
+    breakdown threshold, and demographic edits made after delivery."""
+    population = draw(st.lists(
+        st.tuples(st.integers(-5, 120), st.sampled_from(_GENDERS)),
+        max_size=120))
+    n = len(population)
+    min_reach = draw(st.integers(0, n))
+    reach = draw(st.one_of(st.just(0), st.just(min_reach),
+                           st.integers(0, n)))
+    shown = draw(st.permutations(range(n)))[:reach]
+    edits = draw(st.lists(
+        st.tuples(st.integers(0, max(n - 1, 0)),
+                  st.none() | st.integers(-5, 120),
+                  st.none() | st.sampled_from(_REASSIGNED_GENDERS)),
+        max_size=10 if n else 0))
+    return population, min_reach, shown, edits
+
+
+@settings(max_examples=60, deadline=None)
+@given(_compact_worlds())
+def test_column_breakdown_matches_per_profile_oracle(world):
+    """The compact engine's bincount breakdown equals the per-profile
+    loop over ``unique_reach`` + ``users.get`` — across out-of-bucket
+    ages, genders interned after rows exist, setter reassignments, empty
+    shown sets and a reach exactly at the breakdown threshold."""
+    population, min_reach, shown, edits = world
+    platform = AdPlatform(
+        config=PlatformConfig(
+            name="rptcol", columnar_users=True, compact_delivery=True,
+            reporting=ReportingConfig(breakdown_min_reach=min_reach)),
+        catalog=build_us_catalog(platform_count=4, partner_count=3),
+        competing_draw=zero_competition(),
+    )
+    attr = platform.catalog.partner_attributes()[0]
+    users = [platform.register_user(age=age, gender=gender)
+             for age, gender in population]
+    for row in shown:
+        users[row].set_attribute(attr)
+    account = platform.create_ad_account("np", budget=1000.0)
+    campaign = platform.create_campaign(account.account_id, "c")
+    ad = platform.submit_ad(
+        account.account_id, campaign.campaign_id,
+        AdCreative("h", "neutral"), f"attr:{attr.attr_id}",
+        bid_cap_cpm=10.0)
+    platform.run_until_saturated()
+    for row, age, gender in edits:
+        if age is not None:
+            users[row].age = age
+        if gender is not None:
+            users[row].gender = gender
+
+    delivery, reporting = platform.delivery, platform.reporting
+    rows = delivery.shown_rows(ad.ad_id)
+    assert sorted(rows.tolist()) == sorted(shown)
+    oracle = reporting._demographic_breakdown(
+        delivery.unique_reach(ad.ad_id))
+    assert reporting._column_breakdown(rows) == oracle
+    report = platform.report(account.account_id, ad.ad_id)
+    assert report.reach == len(shown)
+    expected = oracle if len(shown) >= min_reach else None
+    assert report.demographics == expected
