@@ -8,10 +8,13 @@ export PYTHONPATH := src:.
 test:
 	$(PYTHON) -m pytest -q
 
-## Compiled-vs-interpreted targeting equivalence suite on its own —
-## the property the delivery fast path rests on.
+## The equivalence properties the delivery fast paths rest on:
+## compiled == interpreted targeting, mask program == matcher, and the
+## sweep's packed-word claim == the unpacked argmax auction.
 equivalence:
-	$(PYTHON) -m pytest -q tests/platform/test_targeting_compile.py
+	$(PYTHON) -m pytest -q tests/platform/test_targeting_compile.py \
+		tests/platform/test_mask_lowering.py \
+		tests/platform/test_sweep_delivery.py::TestClaimKernel
 
 ## Paper-reproduction benchmarks, single run each (fast, shape checks).
 bench:

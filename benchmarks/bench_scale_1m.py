@@ -11,8 +11,8 @@ journal records (:class:`~repro.store.store.NullStore`).
 
 On top of that sits the **batch sweep** tier: the same worlds delivered
 through :meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots` —
-population-scale delivery as column algebra (mask programs, argmax
-auctions over row blocks) instead of the scalar per-user loop. The 100k
+population-scale delivery as column algebra (mask programs, priority
+claims on packed bitset words) instead of the scalar per-user loop. The 100k
 tier proves byte-identical reports *and* a >= 3x impressions/s floor on
 every CI push; the 1M tier (``REPRO_SCALE_1M=1``) is the occasional
 full proof.

@@ -84,6 +84,11 @@ METRICS: Dict[str, MetricSpec] = {
         COUNTER, "Sweep rounds replayed through the scalar per-user "
                  "path because an account's budget could flip "
                  "mid-round (affordability pre-check failed)."),
+    # -- parallel sweep ----------------------------------------------------
+    "parsweep.inprocess_fallbacks": MetricSpec(
+        COUNTER, "Parallel sweeps run in process instead because the "
+                 "competing draw was not constant or the budget "
+                 "certificate failed."),
     # -- auction -----------------------------------------------------------
     "auction.contenders": MetricSpec(
         HISTOGRAM, "Per-account contenders entering each slot auction.",

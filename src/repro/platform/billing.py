@@ -139,18 +139,26 @@ class BillingLedger:
                                 amount_total: float, count: int) -> None:
         """Charge ``count`` impressions of one ad in a single debit.
 
-        The batch sweep's O(1) billing fold, used where one debit is
-        float-identical to ``count`` sequential charges: the
-        all-zero-price rounds of the Treads economics, and partitioned-
-        sweep merge deltas (:meth:`~repro.platform.delivery.
-        DeliveryEngine.absorb_sweep_delta`). Rounds with nonzero prices
-        bill per impression through :meth:`charge_impression` instead —
-        budget and spend accumulate in delivery order, so float
-        association matches the scalar path bit for bit. Compact mode
-        only — the full-logs path bills per impression so each charge
-        record exists — and never journals (the sweep's impression
-        records, when kept, imply the charges exactly as on the scalar
-        path).
+        The batch sweep's O(1) billing fold. Which folds are exact:
+
+        * Zero-price rounds (the Treads economics): one $0 debit equals
+          ``count`` sequential $0 charges bit for bit, whether the
+          sweep ran in process or merged from partitions.
+        * Single-process priced rounds never come here. They bill per
+          impression through :meth:`charge_impression` in delivery
+          order, so float association matches the scalar path bit for
+          bit.
+        * Priced partitioned-sweep merges
+          (:meth:`~repro.platform.delivery.DeliveryEngine.
+          absorb_sweep_delta`) are *not* exact. Each worker adds up its
+          range's prices first, which re-associates the float adds, so
+          spend and budget match the sequential charges only to about
+          1e-9 relative.
+
+        Compact mode only — the full-logs path bills per impression so
+        each charge record exists — and never journals (the sweep's
+        impression records, when kept, imply the charges exactly as on
+        the scalar path).
         """
         if not self._compact:
             raise StoreError(

@@ -117,6 +117,49 @@ def to_indices(bits: np.ndarray) -> np.ndarray:
     return np.flatnonzero(unpacked).astype(np.int64)
 
 
+def bits_at(bits: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Bits ``indices`` of a bitset as a boolean array (vector
+    :func:`test_bit`; every index must be within the array's width)."""
+    idx = np.asarray(indices, dtype=np.int64)
+    shifts = (idx & 63).astype(np.uint64)
+    return ((bits[idx >> 6] >> shifts) & np.uint64(1)).astype(bool)
+
+
+def first_holders(prefix: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """For each bit in ``indices``, the first matrix row that holds it.
+
+    ``prefix`` is a 2-D bitset matrix's inclusive prefix OR down its
+    rows (``np.bitwise_or.accumulate(matrix, axis=0)``), so its column
+    for bit ``r`` reads 0 up to the first holder and 1 from there on.
+    Every requested bit must be held by some row (set in
+    ``prefix[-1]``). The answer is built one index bit at a time: the
+    rows with index bit ``b`` set form runs ``[lo, lo + 2**b)``, and a
+    bit's first holder lies in such a run exactly when
+    ``prefix[hi - 1] ^ prefix[lo - 1]`` has it. The runs are disjoint,
+    so XOR-folding every run's two boundary rows gives bit ``b`` of
+    every holder at once. That reads about twice the matrix, whatever
+    the number of set bits, and unpacks nothing.
+    """
+    rows = len(prefix)
+    idx = np.asarray(indices, dtype=np.int64)
+    words, shifts = idx >> 6, (idx & 63).astype(np.uint64)
+    one = np.uint64(1)
+    owner = np.zeros(len(idx), dtype=np.int64)
+    b = 0
+    while (1 << b) < rows:
+        half, step = 1 << b, 2 << b
+        before = prefix[half - 1:rows - 1:step]
+        ends = prefix[step - 1:rows:step]
+        sliced = (np.bitwise_xor.reduce(before, axis=0)
+                  ^ np.bitwise_xor.reduce(ends, axis=0))
+        if len(ends) < len(before):
+            # The last run is cut short by the end of the matrix.
+            sliced ^= prefix[rows - 1]
+        owner[((sliced[words] >> shifts) & one).astype(bool)] |= half
+        b += 1
+    return owner
+
+
 def iter_indices(bits: np.ndarray) -> Iterator[int]:
     """Iterate set-bit indices as Python ints."""
     for index in to_indices(bits):

@@ -115,6 +115,66 @@ class DeliveryStats:
     no_eligible_ad: int = 0
 
 
+def claim_slots(
+    avail: np.ndarray,
+    candidates: np.ndarray,
+    scratch: np.ndarray,
+    bids: np.ndarray,
+    accounts: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One batch-sweep round's winner selection on packed words.
+
+    ``avail`` is the (entries x words) availability bitset matrix and
+    ``candidates`` the rows of it that bid this round, in auction
+    priority (bid desc, ad id) order. ``bids`` and ``accounts`` give
+    each entry's bid and dense account index; ``accounts=None`` means
+    a single account bids. ``scratch`` has ``avail``'s shape and is
+    overwritten: it holds each claim's prefix in turn.
+
+    Returns ``(rows, winners, runner_up, contenders)`` for every row
+    some candidate holds, in ascending row order: the row's first
+    holder (an entry index), the bid of the first holder from another
+    account (0.0 when there is none), and how many accounts hold it.
+    """
+    # The claim: candidate c wins the rows it holds and no earlier
+    # candidate does. After an in-place prefix OR down the candidates,
+    # row c of the scratch is the rows claimed by candidates 0..c, and
+    # bitset.first_holders reads off each row's first claimant.
+    prefix = scratch[:len(candidates)]
+    # mode="clip" (the indices are in range anyway) lets take write
+    # straight into ``out``; the default mode buffers a full copy.
+    np.take(avail, candidates, axis=0, out=prefix, mode="clip")
+    np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+    rows = bitset.to_indices(prefix[-1])
+    winners = candidates[bitset.first_holders(prefix, rows)]
+    if accounts is None:
+        return (rows, winners, np.zeros(len(rows)),
+                np.ones(len(rows), dtype=np.int64))
+    # Runner-up: a second claim in which every candidate gives up the
+    # rows its own account won, so each row's first holder is the best
+    # candidate of any other account.
+    cand_accounts = accounts[candidates].tolist()
+    not_won = np.zeros((max(cand_accounts) + 1, avail.shape[1]),
+                       dtype=np.uint64)
+    np.bitwise_or.at(not_won, (accounts[winners], rows >> 6),
+                     np.uint64(1) << (rows & 63).astype(np.uint64))
+    np.invert(not_won, out=not_won)
+    held_by = np.zeros_like(not_won)
+    for j, (entry, account) in enumerate(zip(candidates.tolist(),
+                                             cand_accounts)):
+        np.bitwise_and(avail[entry], not_won[account], out=prefix[j])
+        np.bitwise_or(held_by[account], avail[entry], out=held_by[account])
+    np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+    runner = np.where(bitset.bits_at(prefix[-1], rows),
+                      bids[candidates[bitset.first_holders(prefix, rows)]],
+                      0.0)
+    # Contenders: per row, the bits of each account's OR, added up.
+    contenders = np.zeros(len(rows), dtype=np.int64)
+    for account_bits in held_by:
+        contenders += bitset.bits_at(account_bits, rows)
+    return rows, winners, runner, contenders
+
+
 #: Process-wide engine id sequence for engines constructed without an
 #: explicit ``engine_id`` (debuggability: shard-owned engines name the
 #: shard instead).
@@ -786,9 +846,10 @@ class DeliveryEngine:
     # The vectorized twin of run_until_saturated for columnar stores:
     # eligibility is evaluated for a whole row range at once via
     # column-mask programs (repro.platform.targeting.lower_spec), each
-    # round's per-user second-price auction is an argmax over a
-    # (candidates x users) bit matrix processed in bounded blocks, and
-    # the results fold in bulk (shown-bitset ORs, aggregate billing
+    # round's per-user second-price auction is a priority claim on the
+    # packed (candidates x words) availability matrix (claim_slots: a
+    # user's winner is the first candidate holding its bit), and the
+    # results fold in bulk (shown-bitset ORs, aggregate billing
     # debits, batched counters). Semantics — winners, prices, stats,
     # reports — are identical to running the scalar loop over the same
     # rows (pinned by tests/integration/test_columnar_equivalence.py);
@@ -802,18 +863,18 @@ class DeliveryEngine:
         rows: Optional[Tuple[int, int]] = None,
         *,
         max_rounds: int = 50,
-        block_rows: int = 1 << 16,
         _collect_delta: bool = False,
     ):
         """Saturate delivery over a columnar row range, vectorized.
 
         ``rows`` is a ``(start, stop)`` half-open row range (default:
         the whole store); ``start`` must be 64-aligned so bitset state
-        slices word-cleanly. ``block_rows`` bounds the unpacked working
-        set: each round's auction runs over blocks of at most this many
-        users, so peak transient memory stays flat regardless of range
-        size. Returns the same :class:`DeliveryStats` the scalar
-        :meth:`run_until_saturated` would have produced.
+        slices word-cleanly. Each round's auction is a priority claim
+        on the packed availability words (:func:`claim_slots`), so the
+        transient working set is one scratch matrix the size of the
+        range's availability matrix. Returns the same
+        :class:`DeliveryStats` the scalar :meth:`run_until_saturated`
+        would have produced.
 
         ``_collect_delta`` is the parallel partitioner's hook
         (:mod:`repro.platform.parsweep`): compact-mode sweeps then also
@@ -830,9 +891,6 @@ class DeliveryEngine:
                 "ColumnarUserStore)")
         if self.frequency_cap != 1:
             raise ValueError("batch sweep requires a frequency cap of 1")
-        if block_rows <= 0 or block_rows % bitset.WORD_BITS:
-            raise ValueError("block_rows must be a positive multiple "
-                             f"of {bitset.WORD_BITS}")
         start, stop = (0, cols.count) if rows is None else rows
         if start % bitset.WORD_BITS:
             raise ValueError(
@@ -849,8 +907,7 @@ class DeliveryEngine:
                 f"{self.engine_id}: sweep deltas are a compact-mode "
                 "fold (parallel sweeps merge bitsets and counters)")
         with self.serving_session():
-            self._run_sweep(stats, cols, start, stop, max_rounds,
-                            block_rows, delta)
+            self._run_sweep(stats, cols, start, stop, max_rounds, delta)
         _log.info(
             "sweep_slots[%d:%d]: %d slots (%d filled, %d lost)",
             start, stop, stats.slots, stats.filled_by_tracked_ads,
@@ -871,7 +928,8 @@ class DeliveryEngine:
         Sorting by (bid desc, ad id asc) makes "first eligible
         candidate" coincide with the scalar path's winner (per-account
         champions, then top-2 — both use exactly this order), so each
-        user's winner is one argmax over the availability matrix.
+        user's winner is the first candidate, in this order, that holds
+        the user's availability bit (:func:`claim_slots`).
         """
         self._ensure_index()
         entries: List[tuple] = []
@@ -952,7 +1010,7 @@ class DeliveryEngine:
                     bitset.clear_bit(avail[i], rel)
 
     def _run_sweep(self, stats: DeliveryStats, cols: Any, start: int,
-                   stop: int, max_rounds: int, block_rows: int,
+                   stop: int, max_rounds: int,
                    delta: Optional[Dict[str, list]]) -> None:
         from repro.platform.colstore import UserView
         n = stop - start
@@ -974,6 +1032,7 @@ class DeliveryEngine:
         constant = getattr(draw, "constant", None)
         floor = self.floor_price
         obs_on = self._obs_on
+        scratch = np.empty_like(avail)
 
         for _ in range(max_rounds):
             # Round candidates: the dynamic checks the scalar slot path
@@ -984,59 +1043,22 @@ class DeliveryEngine:
             if not rc:
                 break
             rc_arr = np.asarray(rc, dtype=np.int64)
-            mat = avail if len(rc) == len(entries) else avail[rc_arr]
             acct_rc = acct_idx[rc_arr]
-            multi_account = len(np.unique(acct_rc)) > 1
-            mat_bytes = mat.view(np.uint8)
+            multi_account = bool((acct_rc != acct_rc[0]).any())
 
-            # Phase A: per-block winner/runner-up selection. Both are
-            # draw-independent (the competing bid only decides win/lose
-            # and price), so no RNG is consumed before the budget
-            # certificate — a fallback round must replay with a virgin
-            # draw stream.
-            win_rows: List[np.ndarray] = []
-            win_cands: List[np.ndarray] = []
-            win_runner: List[np.ndarray] = []
-            contender_counts: List[np.ndarray] = []
-            for r0 in range(0, n, block_rows):
-                r1 = min(r0 + block_rows, n)
-                nb = r1 - r0
-                block = np.unpackbits(
-                    mat_bytes[:, r0 // 8: r0 // 8 + (nb + 7) // 8],
-                    axis=1, count=nb, bitorder="little")
-                positions = np.arange(nb)
-                wpos = block.argmax(axis=0)
-                has = block[wpos, positions] == 1
-                if not has.any():
-                    continue
-                hrows = np.flatnonzero(has)
-                if multi_account:
-                    winner_acct = acct_rc[wpos]
-                    others = np.where(
-                        acct_rc[:, None] == winner_acct[None, :], 0, block)
-                    rpos = others.argmax(axis=0)
-                    rhas = others[rpos, positions] == 1
-                    runner = np.where(
-                        rhas, bids[rc_arr[rpos]], 0.0)[hrows]
-                    counts = np.zeros(nb, dtype=np.int64)
-                    for a in np.unique(acct_rc):
-                        counts += block[acct_rc == a].any(axis=0)
-                    contender_counts.append(counts[hrows])
-                else:
-                    runner = np.zeros(len(hrows), dtype=np.float64)
-                    contender_counts.append(
-                        np.ones(len(hrows), dtype=np.int64))
-                win_rows.append(hrows + r0)
-                win_cands.append(rc_arr[wpos[hrows]])
-                win_runner.append(runner)
-            if not win_rows:
+            # Phase A: winner/runner-up selection as priority claims on
+            # the packed words. Both are draw-independent (the
+            # competing bid only decides win/lose and price), so no RNG
+            # is consumed before the budget certificate — a fallback
+            # round must replay with a virgin draw stream.
+            rel_rows, wcand, runner, contenders = claim_slots(
+                avail, rc_arr, scratch, bids,
+                acct_idx if multi_account else None)
+            if not len(rel_rows):
                 # No user in range has any eligible candidate left: the
                 # scalar loop would drop every user and stop. Nothing
                 # is counted (dropped users never reach the auction).
                 break
-            rel_rows = np.concatenate(win_rows)
-            wcand = np.concatenate(win_cands)
-            runner = np.concatenate(win_runner)
             slots = len(rel_rows)
             winner_bids = bids[wcand]
 
@@ -1118,8 +1140,7 @@ class DeliveryEngine:
             if obs_on:
                 self._obs_slots.inc(slots)
                 self._obs_sweep_rounds.inc()
-            observe_auctions(np.concatenate(contender_counts),
-                             price[won], slots - wins)
+            observe_auctions(contenders, price[won], slots - wins)
             if wins == 0:
                 break
             self._sweep_apply(entries, start, stop, rel_rows[won],
@@ -1233,6 +1254,12 @@ class DeliveryEngine:
         a worker's ``sweep_slots(..., _collect_delta=True)`` produced
         for a disjoint row range. Ads fold in sorted id order so the
         merge is deterministic regardless of worker arrival order.
+
+        Shown bitsets, impression counts and reach fold exactly. Spend
+        folds exactly only for zero-price ranges: a priced range's
+        ``price_sum`` was added up inside its worker, which re-associates
+        the float adds, so spend and budgets then match sequential
+        per-impression charges to about 1e-9 relative, not bit for bit.
         """
         if not self._compact:
             raise StoreError(

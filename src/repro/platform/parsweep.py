@@ -2,7 +2,8 @@
 
 The single-process batch sweep
 (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`) is column
-algebra over row blocks; this module partitions the row space itself.
+algebra over packed bitset words; this module partitions the row space
+itself.
 Each forked worker inherits the built platform world by copy-on-write —
 catalog, columns, compiled matchers, lowered mask programs — sweeps its
 own disjoint ``(start, stop)`` range, and ships back a compact per-ad
@@ -17,7 +18,7 @@ Three preconditions make the partition sound, all checked up front:
 * **Compact engine** — deltas are bitset/counter folds; per-impression
   journals cannot be reassembled across forks (a forked
   :class:`~repro.store.store.JournalStore` would even share the parent's
-  file descriptor).
+  file descriptor). Without one the sweep raises.
 * **Constant competing-bid draw** — workers cannot share an RNG stream,
   so every draw must be a known constant
   (:func:`~repro.workloads.competition.zero_competition` /
@@ -29,6 +30,11 @@ Three preconditions make the partition sound, all checked up front:
   economics (zero competition, zero floor, one provider account) bound
   to exactly $0, which is what makes the 1M-row sweep trivially
   certifiable.
+
+When the draw or the certificate fails, the sweep runs in process
+instead (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`,
+whose scalar replay handles a budget flip exactly) and counts the
+fallback in ``parsweep.inprocess_fallbacks``.
 
 Wire plumbing reuses the shard-serving framing
 (:class:`repro.serve.ipc.Framer` over a socketpair): one frame out per
@@ -44,6 +50,7 @@ from multiprocessing import get_context
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StoreError
+from repro.obs.metrics import registry as obs_registry
 from repro.platform import bitset
 from repro.platform.delivery import DeliveryEngine, DeliveryStats
 from repro.platform.targeting import lower_spec
@@ -135,14 +142,14 @@ def parallel_sweep(
     engine: DeliveryEngine,
     workers: Optional[int] = None,
     max_rounds: int = 50,
-    block_rows: int = 1 << 16,
 ) -> DeliveryStats:
     """Sweep the whole attached columnar store across forked workers.
 
     ``workers`` defaults to the visible core count. With one worker (or
     one row range) this degenerates to a plain in-process
-    :meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots` call.
-    Returns the aggregate :class:`DeliveryStats` across all ranges.
+    :meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots` call;
+    so does a sweep :func:`certify_budgets` cannot certify. Returns the
+    aggregate :class:`DeliveryStats` across all ranges.
     """
     if workers is None:
         workers = visible_cores()
@@ -163,9 +170,13 @@ def parallel_sweep(
     nrows = len(users)
     ranges = partition_rows(nrows, workers)
     if len(ranges) <= 1:
-        return engine.sweep_slots(max_rounds=max_rounds,
-                                  block_rows=block_rows)
-    certify_budgets(engine, nrows)
+        return engine.sweep_slots(max_rounds=max_rounds)
+    try:
+        certify_budgets(engine, nrows)
+    except StoreError as exc:
+        _log.info("parallel_sweep: %s; sweeping in process", exc)
+        obs_registry().counter("parsweep.inprocess_fallbacks").inc()
+        return engine.sweep_slots(max_rounds=max_rounds)
     ctx = get_context("fork")
     spawned = []
     for start, stop in ranges:
@@ -173,7 +184,7 @@ def parallel_sweep(
         process = ctx.Process(
             target=_worker_main,
             args=(child_sock, parent_sock, engine, start, stop,
-                  max_rounds, block_rows),
+                  max_rounds),
             name=f"parsweep-{start}-{stop}",
             daemon=True,
         )
@@ -218,7 +229,7 @@ def parallel_sweep(
 
 def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
                  engine: DeliveryEngine, start: int, stop: int,
-                 max_rounds: int, block_rows: int) -> None:
+                 max_rounds: int) -> None:
     """Forked worker: sweep one row range on COW state, ship the delta.
 
     The worker's engine/ledger/metrics mutations are its own
@@ -230,8 +241,7 @@ def _worker_main(child_sock: socket.socket, parent_sock: socket.socket,
     try:
         try:
             stats, delta = engine.sweep_slots(
-                (start, stop), max_rounds=max_rounds,
-                block_rows=block_rows, _collect_delta=True)
+                (start, stop), max_rounds=max_rounds, _collect_delta=True)
         except Exception as exc:  # noqa: BLE001 - shipped to the parent
             framer.send(("error", f"{type(exc).__name__}: {exc}"))
             return

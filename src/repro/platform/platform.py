@@ -574,7 +574,8 @@ class AdPlatform:
 
         The batch twin of :meth:`run_until_saturated` for columnar
         platforms: eligibility, auctions, and state folds all run as
-        column algebra over row blocks
+        column algebra over the packed columns, each round's auction
+        a priority claim on the availability bitsets
         (:meth:`~repro.platform.delivery.DeliveryEngine.sweep_slots`),
         producing the same impressions, spend, stats, and reports as
         the scalar loop. ``workers`` > 1 partitions the row space

@@ -91,6 +91,21 @@ class TestSetAlgebra:
         bitset.set_bit(matrix[2], 64)
         assert list(bitset.row_popcounts(matrix)) == [2, 0, 1]
 
+    def test_bits_at(self):
+        bits = bitset.from_indices([0, 63, 64, 130], 200)
+        assert list(bitset.bits_at(bits, np.array([0, 1, 63, 64, 130]))) \
+            == [True, False, True, True, True]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8, 13, 64, 100])
+    def test_first_holders_from_prefix(self, rows):
+        rng = np.random.default_rng(rows)
+        flags = rng.random((rows, 150)) < 0.05
+        matrix = np.stack([bitset.pack_bools(row) for row in flags])
+        prefix = np.bitwise_or.accumulate(matrix, axis=0)
+        held = np.flatnonzero(flags.any(axis=0))
+        assert list(bitset.first_holders(prefix, held)) == \
+            list(flags.argmax(axis=0)[held])
+
 
 class TestSerialization:
     def test_bitset_b64_round_trip(self):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import StoreError
+from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.platform.parsweep import (
     certify_budgets,
     parallel_sweep,
@@ -98,11 +99,28 @@ class TestPreconditions:
         with pytest.raises(StoreError, match="discarding"):
             parallel_sweep(platform.delivery, workers=2)
 
-    def test_uncertifiable_budget_fails_before_forking(self):
-        platform, _ads = parallel_world(budget=0.05, users=200,
-                                        draw=fixed_competition(5.0))
-        with pytest.raises(StoreError, match="certify"):
-            parallel_sweep(platform.delivery, workers=2)
+    def test_uncertifiable_budget_sweeps_in_process(self):
+        """A sweep the certificate cannot cover runs the exact
+        in-process sweep instead of forking, and counts the fallback."""
+        platform, ads = parallel_world(budget=0.05, users=200,
+                                       draw=fixed_competition(5.0))
+        serial, ads_serial = parallel_world(budget=0.05, users=200,
+                                            draw=fixed_competition(5.0))
+        with use_registry(MetricsRegistry("parsweeptest")) as reg:
+            stats = parallel_sweep(platform.delivery, workers=2)
+            assert reg.counter("parsweep.inprocess_fallbacks").value == 1
+        assert stats == serial.delivery.sweep_slots()
+        assert engine_state(platform, ads) == engine_state(serial,
+                                                           ads_serial)
+
+    def test_random_draw_sweeps_in_process(self):
+        platform, ads = parallel_world(draw=lognormal_competition(seed=3))
+        serial, ads_serial = parallel_world(
+            draw=lognormal_competition(seed=3))
+        assert parallel_sweep(platform.delivery, workers=2) == \
+            serial.delivery.sweep_slots()
+        assert engine_state(platform, ads) == engine_state(serial,
+                                                           ads_serial)
 
 
 class TestWorkerEquality:

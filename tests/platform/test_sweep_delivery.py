@@ -2,21 +2,26 @@
 
 The integration equivalence suite pins the full 2,000-user partner
 sweep; these tests pin the engine-level machinery — precondition
-errors, block decomposition, partial row ranges, per-spec matcher
-fallback routing, multi-account runner-up pricing, and the sweep's
-observability counters.
+errors, the packed-word claim kernel against the unpacked argmax it
+replaced, partial row ranges, per-spec matcher fallback routing,
+multi-account runner-up pricing, and the sweep's observability counters.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StoreError
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.platform import bitset
 from repro.platform.ads import AdCreative
 from repro.platform.catalog import build_us_catalog
+from repro.platform.delivery import claim_slots
 from repro.platform.platform import AdPlatform, PlatformConfig
 from repro.platform.targeting import HasAttr, lower_spec
 from repro.workloads.competition import fixed_competition, zero_competition
@@ -86,11 +91,6 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="frequency cap"):
             platform.delivery.sweep_slots()
 
-    def test_block_rows_must_be_word_multiple(self):
-        platform, _ads = make_world(users=10)
-        with pytest.raises(ValueError, match="block_rows"):
-            platform.delivery.sweep_slots(block_rows=100)
-
     def test_range_validation(self):
         platform, _ads = make_world(users=70)
         with pytest.raises(ValueError, match="boundary"):
@@ -99,16 +99,72 @@ class TestPreconditions:
             platform.delivery.sweep_slots((0, 1000))
 
 
-class TestBlockDecomposition:
-    def test_tiny_blocks_match_one_big_block(self):
-        platform_a, ads_a = make_world(users=200)
-        platform_b, ads_b = make_world(users=200)
-        stats_a = platform_a.delivery.sweep_slots(block_rows=64)
-        stats_b = platform_b.delivery.sweep_slots()
-        assert stats_a == stats_b
-        assert engine_state(platform_a, ads_a) == \
-            engine_state(platform_b, ads_b)
+def argmax_oracle(avail, candidates, bids, accounts, n):
+    """The claim kernel's reference: the unpacked-matrix auction.
 
+    Unpack the candidates' availability rows to a (candidates x users)
+    0/1 matrix; a user's winner is the first 1 in its column
+    (``argmax``), the runner-up the first 1 among other accounts'
+    candidates, the contender count the accounts with any 1.
+    """
+    block = np.unpackbits(avail[candidates].view(np.uint8), axis=1,
+                          count=n, bitorder="little")
+    positions = np.arange(n)
+    wpos = block.argmax(axis=0)
+    rows = np.flatnonzero(block[wpos, positions] == 1)
+    acct = accounts[candidates]
+    others = np.where(acct[:, None] == acct[wpos][None, :], 0, block)
+    rpos = others.argmax(axis=0)
+    runner = np.where(others[rpos, positions] == 1,
+                      bids[candidates[rpos]], 0.0)
+    counts = np.zeros(n, dtype=np.int64)
+    for a in np.unique(acct):
+        counts += block[acct == a].any(axis=0)
+    return rows, candidates[wpos[rows]], runner[rows], counts[rows]
+
+
+@st.composite
+def claim_inputs(draw):
+    """Availability matrices of 1-40 candidates over 1-300 rows with
+    1-4 accounts, some candidate rows and user columns forced empty,
+    and a round-candidate subset in priority order."""
+    entries = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 1.0]))
+    flags = rng.random((entries, n)) < density
+    flags[draw(st.lists(st.integers(0, entries - 1), max_size=5))] = False
+    flags[:, draw(st.lists(st.integers(0, n - 1), max_size=20))] = False
+    avail = np.stack([bitset.pack_bools(row) for row in flags])
+    bids = np.sort(rng.choice([1.0, 2.5, 4.0, 7.0, 10.0],
+                              size=entries))[::-1].copy()
+    accounts = rng.integers(0, draw(st.integers(1, 4)), size=entries)
+    chosen = draw(st.lists(st.integers(0, entries - 1), min_size=1,
+                           unique=True))
+    candidates = np.array(sorted(chosen), dtype=np.int64)
+    return avail, candidates, bids, accounts, n
+
+
+class TestClaimKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(inputs=claim_inputs())
+    def test_claim_equals_unpacked_argmax(self, inputs):
+        avail, candidates, bids, accounts, n = inputs
+        expected = argmax_oracle(avail, candidates, bids, accounts, n)
+        before = avail.copy()
+        scratch = np.full_like(avail, np.uint64(0xFFFFFFFFFFFFFFFF))
+        got = claim_slots(avail, candidates, scratch, bids, accounts)
+        for want, have in zip(expected, got):
+            assert np.array_equal(want, have)
+        assert np.array_equal(avail, before)
+        if len(np.unique(accounts[candidates])) == 1:
+            # The single-account shortcut gives the same answer.
+            single = claim_slots(avail, candidates, scratch, bids, None)
+            for want, have in zip(expected, single):
+                assert np.array_equal(want, have)
+
+
+class TestBlockDecomposition:
     def test_partial_ranges_compose_to_full_sweep(self):
         platform_a, ads_a = make_world(users=150)
         platform_b, ads_b = make_world(users=150)
